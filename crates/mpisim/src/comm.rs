@@ -76,7 +76,14 @@ impl Comm {
     }
 
     /// Communicator rank of a world rank, if it is a member.
+    ///
+    /// O(1) wherever the group keeps `world` at its own index (every rank
+    /// of WORLD): members are unique, so `group[world] == world` is the
+    /// only position `world` can have.  Otherwise the group is scanned.
     pub fn rank_of_world(&self, world: usize) -> Option<usize> {
+        if self.group.get(world) == Some(&world) {
+            return Some(world);
+        }
         self.group.iter().position(|&w| w == world)
     }
 
@@ -87,7 +94,7 @@ impl Comm {
 
     /// True when the given world rank belongs to this communicator.
     pub fn contains_world(&self, world: usize) -> bool {
-        self.group.contains(&world)
+        self.rank_of_world(world).is_some()
     }
 }
 
@@ -110,5 +117,43 @@ mod tests {
         assert_eq!(c.rank_of_world(5), None);
         assert!(c.contains_world(2));
         assert!(!c.contains_world(0));
+        // Rank 2 sits at its own index (the O(1) path), 0 and 1 do not.
+        let c = Comm::new(3, Arc::new(vec![1, 0, 2]), 0);
+        let ranks: Vec<_> = (0..4).map(|w| c.rank_of_world(w)).collect();
+        assert_eq!(ranks, vec![Some(1), Some(0), Some(2), None]);
+    }
+
+    mim_util::props! {
+        fn rank_of_world_matches_linear_scan(g) {
+            // A permuted world, a sub-group of one (sorted, as `comm_split`
+            // builds them, or in random order), or a world with a random
+            // subset of ranks permuted among themselves (`[1, 0, 2]`).
+            let n = g.gen_range(1usize..40);
+            let mut group: Vec<usize> = (0..n).collect();
+            match g.gen_range(0u8..4) {
+                0 => g.shuffle(&mut group),
+                1 => group.retain(|_| g.gen_range(0u8..2) == 0),
+                2 => {
+                    g.shuffle(&mut group);
+                    group.truncate(g.gen_range(0..n + 1));
+                }
+                _ => {
+                    let moved: Vec<usize> = (0..n).filter(|_| g.gen_range(0u8..2) == 0).collect();
+                    let mut to = moved.clone();
+                    g.shuffle(&mut to);
+                    for (&p, w) in moved.iter().zip(to) {
+                        group[p] = w;
+                    }
+                }
+            }
+            if group.is_empty() {
+                group.push(n - 1);
+            }
+            let c = Comm::new(1, Arc::new(group.clone()), 0);
+            for w in 0..n + 3 {
+                assert_eq!(c.rank_of_world(w), group.iter().position(|&x| x == w), "{group:?} {w}");
+                assert_eq!(c.contains_world(w), group.contains(&w));
+            }
+        }
     }
 }

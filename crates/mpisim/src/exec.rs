@@ -44,7 +44,9 @@
 //! for a full deadline while runnable/parked tasks wait behind a spinning
 //! one — and aborts the process (exit 107): the honest analogue of the
 //! deadline panic a parked thread would have raised, for a fault that
-//! cannot be unwound from outside.
+//! cannot be unwound from outside.  The watchdog polls: it sleeps one
+//! deadline on a notifier only shutdown fires, then compares the progress
+//! counter, so the message path never wakes it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -158,15 +160,14 @@ pub(crate) struct ExecShared {
     stealers: Mutex<Vec<Stealer>>,
     /// Wakes idle workers (epoch-counted; see `mim_util::sync::Notifier`).
     notifier: Notifier,
-    /// Scheduler progress heartbeat for the starvation watchdog: bumped on
-    /// park, unpark, completion and stall resolution.
-    progress: Notifier,
-    /// Scheduler-visible *attempts* (every [`notify`](ExecShared::notify)
-    /// call, whatever its outcome).  The watchdog treats movement here as a
-    /// sign of life: a rank spin-sending to a starved peer is slow, not
-    /// stuck — only a task burning its worker with *no* scheduler
-    /// interaction at all is starvation.
-    activity: AtomicU64,
+    /// Fired only at shutdown: the watchdog sleeps here between polls.
+    stopped: Notifier,
+    /// Scheduler heartbeat for the starvation watchdog: bumped by every
+    /// [`notify`](ExecShared::notify) call (whatever its outcome), park,
+    /// completion and stall resolution.  A rank spin-sending to a starved
+    /// peer is slow, not stuck — only a task burning its worker with *no*
+    /// scheduler interaction at all is starvation.
+    progress: AtomicU64,
     parked: AtomicUsize,
     live: AtomicUsize,
     idle: AtomicUsize,
@@ -198,8 +199,8 @@ impl ExecShared {
             injector: Injector::new(),
             stealers: Mutex::new(Vec::new()),
             notifier: Notifier::new(),
-            progress: Notifier::new(),
-            activity: AtomicU64::new(0),
+            stopped: Notifier::new(),
+            progress: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
@@ -225,7 +226,7 @@ impl ExecShared {
     /// Safe to call from any thread, any number of times; never lost, never
     /// double-enqueues (see the module-level protocol).
     pub(crate) fn notify(&self, dst: usize) {
-        self.activity.fetch_add(1, Ordering::Relaxed);
+        self.progress.fetch_add(1, Ordering::Relaxed);
         let slot = &self.tasks[dst];
         loop {
             match slot.state.load(Ordering::Acquire) {
@@ -238,7 +239,6 @@ impl ExecShared {
                         slot.wake.store(WAKE_MESSAGE, Ordering::Release);
                         self.parked.fetch_sub(1, Ordering::SeqCst);
                         self.injector.push(dst);
-                        self.progress.notify();
                         self.notifier.notify();
                         return;
                     }
@@ -292,9 +292,7 @@ impl ExecShared {
         }
         let live = self.live.load(Ordering::SeqCst);
         if live == 0 {
-            self.shutdown.store(true, Ordering::Release);
-            self.notifier.notify();
-            self.progress.notify();
+            self.shut_down();
             return;
         }
         if self.parked.load(Ordering::SeqCst) != live || !self.injector.is_empty() {
@@ -324,10 +322,18 @@ impl ExecShared {
                 self.tasks[i].wake.store(WAKE_DEADLINE, Ordering::Release);
                 self.parked.fetch_sub(1, Ordering::SeqCst);
                 self.injector.push(i);
-                self.progress.notify();
+                self.progress.fetch_add(1, Ordering::Relaxed);
                 self.notifier.notify();
             }
         }
+    }
+
+    /// Raise the shutdown flag, then wake the idle workers and the
+    /// watchdog (each re-checks the flag after its epoch moves).
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.notifier.notify();
+        self.stopped.notify();
     }
 }
 
@@ -557,14 +563,9 @@ fn run_one(
             drop(fiber); // free the stack eagerly: 10k ranks, bounded RSS
             slot.state.store(DONE, Ordering::SeqCst);
             let left = exec.live.fetch_sub(1, Ordering::SeqCst) - 1;
-            exec.progress.notify();
+            exec.progress.fetch_add(1, Ordering::Relaxed);
             if left == 0 {
-                exec.shutdown.store(true, Ordering::Release);
-                exec.notifier.notify();
-                // Notify progress *after* the shutdown store so the
-                // watchdog either sees the flag or sees the epoch advance —
-                // never sleeps out its full timeout on a finished run.
-                exec.progress.notify();
+                exec.shut_down();
             }
         }
         Resume::Suspended => {
@@ -584,7 +585,7 @@ fn run_one(
                     Ordering::SeqCst,
                 ) {
                     Ok(_) => {
-                        exec.progress.notify();
+                        exec.progress.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(_) => {
                         // A notify token landed while the task was still
@@ -593,7 +594,7 @@ fn run_one(
                         slot.wake.store(WAKE_MESSAGE, Ordering::Release);
                         slot.state.store(RUNNABLE, Ordering::SeqCst);
                         enqueue(exec, local, task);
-                        exec.progress.notify();
+                        exec.progress.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             } else {
@@ -615,6 +616,11 @@ fn run_one(
 /// analogue of the deadline panic the waiting ranks would have raised under
 /// thread-per-rank.
 ///
+/// The watchdog polls once per `deadline` (sleeping on `stopped`, which
+/// only shutdown fires, so a finished run is joined at once).  A hog that
+/// starts just after a poll's snapshot is seen by the next poll but one:
+/// starvation is reported between one and two deadlines after it begins.
+///
 /// `suspended` disables the abort: an external [`crate::sched`] policy may
 /// legitimately hold tasks parked (or a running task un-resumed) for many
 /// wall-clock deadlines while it explores a schedule, which is
@@ -623,16 +629,16 @@ fn run_one(
 /// real deadlocks keep surfacing as `deadlock:` panics.
 fn watchdog_loop(exec: &Arc<ExecShared>, deadline: Duration, suspended: bool) {
     loop {
-        let seen = exec.progress.epoch();
-        let seen_activity = exec.activity.load(Ordering::Relaxed);
+        let seen = exec.stopped.epoch();
+        let progress = exec.progress.load(Ordering::Relaxed);
         if exec.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let advanced = exec.progress.wait_timeout_epoch(seen, deadline);
+        exec.stopped.wait_timeout_epoch(seen, deadline);
         if exec.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if advanced || exec.activity.load(Ordering::Relaxed) != seen_activity {
+        if exec.progress.load(Ordering::Relaxed) != progress {
             continue;
         }
         let running: Vec<usize> = exec

@@ -16,7 +16,7 @@
 //! thread or a parked/resumed task, which is why `executor_equivalence`
 //! can require bit-identical NIC totals across both engines.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use mim_util::sync::Mutex;
 
@@ -42,6 +42,9 @@ pub struct NicCounters {
     xmit_msgs: Vec<AtomicU64>,
     retries: Vec<AtomicU64>,
     header_bytes: u64,
+    /// Whether `events` is recording: lets `on_send` skip the
+    /// universe-wide lock when no sampling experiment is running.
+    logging: AtomicBool,
     events: Mutex<Option<Vec<NicEvent>>>,
 }
 
@@ -56,6 +59,7 @@ impl NicCounters {
             xmit_msgs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             retries: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             header_bytes,
+            logging: AtomicBool::new(false),
             events: Mutex::new(None),
         }
     }
@@ -63,10 +67,12 @@ impl NicCounters {
     /// Start recording timestamped events (for sampling experiments).
     pub fn enable_event_log(&self) {
         *self.events.lock() = Some(Vec::new());
+        self.logging.store(true, Ordering::Release);
     }
 
     /// Stop recording and return the log (sorted by virtual time).
     pub fn take_event_log(&self) -> Vec<NicEvent> {
+        self.logging.store(false, Ordering::Release);
         let mut log = self.events.lock().take().unwrap_or_default();
         log.sort_by(|a, b| a.vtime_ns.total_cmp(&b.vtime_ns));
         log
@@ -128,9 +134,10 @@ impl PmlHook for NicCounters {
         let wire = ev.bytes + self.header_bytes;
         self.xmit_bytes[src_node].fetch_add(wire, Ordering::Relaxed);
         self.xmit_msgs[src_node].fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.events.lock();
-        if let Some(log) = guard.as_mut() {
-            log.push(NicEvent { vtime_ns: ev.vtime_ns, node: src_node, wire_bytes: wire });
+        if self.logging.load(Ordering::Acquire) {
+            if let Some(log) = self.events.lock().as_mut() {
+                log.push(NicEvent { vtime_ns: ev.vtime_ns, node: src_node, wire_bytes: wire });
+            }
         }
     }
 }
@@ -202,5 +209,20 @@ mod tests {
         assert_eq!(log[1].wire_bytes, 10);
         // Log is consumed.
         assert!(n.take_event_log().is_empty());
+    }
+
+    #[test]
+    fn event_log_records_only_between_enable_and_take() {
+        let n = nic(0);
+        n.on_send(&ev(0, 2, 1, 0.0)); // before enable: counted, not logged
+        n.enable_event_log();
+        n.on_send(&ev(0, 2, 2, 1.0));
+        assert_eq!(n.take_event_log().len(), 1);
+        n.on_send(&ev(0, 2, 3, 2.0)); // after take: not logged
+        n.enable_event_log();
+        n.on_send(&ev(0, 2, 4, 3.0));
+        let log = n.take_event_log();
+        assert_eq!(log.iter().map(|e| e.wire_bytes).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(n.xmit_msgs(0), 4);
     }
 }

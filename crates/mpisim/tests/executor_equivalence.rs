@@ -268,6 +268,33 @@ fn comm_shrink_while_peers_are_parked() {
     }
 }
 
+/// Shutdown wakes the watchdog.  It polls once per deadline, so if the
+/// end of a launch did not fire its shutdown notifier, joining it would
+/// wait out the whole 60 s deadline; a woken watchdog returns at once and
+/// the launch takes milliseconds (the bound leaves room for a loaded host).
+#[test]
+fn finished_tasks_launch_does_not_wait_out_the_watchdog_deadline() {
+    let mut cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(4));
+    cfg.executor = ExecutorKind::Tasks;
+    cfg.deadline = std::time::Duration::from_secs(60);
+    let u = Universe::new(cfg);
+    let start = std::time::Instant::now();
+    let sums = u.launch(|rank| {
+        let world = rank.comm_world();
+        let (me, n) = (world.rank(), world.size());
+        if me == 0 {
+            // Outlast the watchdog's start-up, so it is asleep at shutdown.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        rank.send(&world, (me + 1) % n, 0, &[me as i64]);
+        let (v, _) = rank.recv::<i64>(&world, SrcSel::Rank((me + n - 1) % n), TagSel::Is(0));
+        v[0]
+    });
+    let took = start.elapsed();
+    assert_eq!(sums, vec![3, 0, 1, 2]);
+    assert!(took < std::time::Duration::from_secs(5), "launch took {took:?}");
+}
+
 /// The starvation watchdog: a rank that burns its worker without a single
 /// scheduler interaction, while a peer waits parked, must abort the whole
 /// process with exit code 107 and a "starvation" diagnostic (a fiber cannot

@@ -22,7 +22,9 @@
 //! Panic safety: the fiber entry point wraps the body in `catch_unwind`, so
 //! an unwinding rank panic never crosses the assembly frame (which would be
 //! undefined behaviour).  The payload is carried back to the resumer via
-//! [`Fiber::take_panic`].
+//! [`Fiber::take_panic`].  The panic *hook* (message, backtrace) runs
+//! before the unwind, on the fiber's own stack, which is why
+//! [`MIN_STACK`] is sized for a backtrace walk, not just the body.
 
 #[cfg(all(target_arch = "x86_64", target_family = "unix"))]
 mod imp {
@@ -35,8 +37,14 @@ mod imp {
     pub const SUPPORTED: bool = true;
 
     /// Smallest stack a fiber will be given, regardless of the requested
-    /// size.  Deep enough for the entry shim plus a panic unwind.
-    pub const MIN_STACK: usize = 16 * 1024;
+    /// size.  Deep enough for the entry shim plus a panic unwind *and* the
+    /// panic hook: a panic inside a fiber runs the process's hook on the
+    /// fiber stack, and the default hook with `RUST_BACKTRACE=1` walks and
+    /// symbolizes the backtrace there.  That took more than 16 KiB (the
+    /// overflow ran past the canary into the neighbouring heap block —
+    /// fiber stacks have no guard page); 32 KiB sufficed in a debug build,
+    /// so 64 KiB leaves headroom.
+    pub const MIN_STACK: usize = 64 * 1024;
 
     /// Sentinel written at the low end of every fiber stack and checked on
     /// each suspension; an overflowing fiber fails loudly instead of
@@ -259,7 +267,7 @@ mod imp {
     pub const SUPPORTED: bool = false;
 
     /// Smallest stack a fiber will be given (unused on this target).
-    pub const MIN_STACK: usize = 16 * 1024;
+    pub const MIN_STACK: usize = 64 * 1024;
 
     /// Why [`Fiber::resume`] returned.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,6 +7,7 @@
 //! already propagated by `Universe::launch` — so a poisoned lock would only
 //! turn one diagnosable panic into a cascade of opaque ones.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::PoisonError;
 
 /// Guard type returned by [`Mutex::lock`].
@@ -78,9 +79,21 @@ impl<T> RwLock<T> {
 /// *before* the predicate check makes the classic lost-wakeup race benign:
 /// a notification between check and sleep advances the epoch, so the wait
 /// returns immediately.
+///
+/// Only sleepers are woken: the epoch is an atomic and `waiters` counts
+/// threads inside a wait, so [`notify`](Notifier::notify) is one
+/// `fetch_add` unless someone sleeps.  Both sides use `SeqCst` — a waiter
+/// counts itself, then re-reads the epoch; a notifier bumps the epoch, then
+/// reads the count — so in the single total order either the notifier sees
+/// the waiter or the waiter sees the new epoch.  A notifier that sees a
+/// waiter takes the mutex before `notify_all`, and the waiter re-checks the
+/// epoch under that mutex, so the wake cannot fall between its check and
+/// its sleep.
 #[derive(Debug, Default)]
 pub struct Notifier {
-    epoch: std::sync::Mutex<u64>,
+    epoch: AtomicU64,
+    waiters: AtomicUsize,
+    lock: std::sync::Mutex<()>,
     cv: std::sync::Condvar,
 }
 
@@ -92,39 +105,56 @@ impl Notifier {
 
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
-        *self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Advance the epoch and wake every waiter.
     pub fn notify(&self) {
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        *e = e.wrapping_add(1);
-        self.cv.notify_all();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.cv.notify_all();
+        }
     }
 
     /// Block until the epoch differs from `seen`.
     pub fn wait_while_epoch(&self, seen: u64) {
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *e == seen {
-            e = self.cv.wait(e).unwrap_or_else(PoisonError::into_inner);
-        }
+        self.wait(seen, None);
     }
 
     /// Block until the epoch differs from `seen` or `timeout` elapses.
     /// Returns `true` when the epoch advanced, `false` on timeout.
     pub fn wait_timeout_epoch(&self, seen: u64, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut e = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        while *e == seen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _res) =
-                self.cv.wait_timeout(e, deadline - now).unwrap_or_else(PoisonError::into_inner);
-            e = guard;
+        self.wait(seen, Some(timeout))
+    }
+
+    fn wait(&self, seen: u64, timeout: Option<std::time::Duration>) -> bool {
+        if self.epoch() != seen {
+            return true;
         }
-        true
+        let deadline = timeout.map(|t| std::time::Instant::now() + t);
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let advanced = loop {
+            if self.epoch() != seen {
+                break true;
+            }
+            guard = match deadline {
+                None => self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = std::time::Instant::now();
+                    if now >= deadline {
+                        break false;
+                    }
+                    self.cv
+                        .wait_timeout(guard, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        advanced
     }
 }
 
@@ -187,5 +217,41 @@ mod tests {
         drop((a, b));
         *l.write() = 6;
         assert_eq!(l.into_inner(), 6);
+    }
+
+    #[test]
+    fn notifier_stress_loses_no_wakeup() {
+        // A token ring: thread i may only advance `turn` when it reads a
+        // multiple of THREADS plus i, so every step needs one wake of a
+        // (usually) sleeping peer.  A lost wakeup would leave the ring
+        // stuck until a wait's bound, which the assert rejects.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 500;
+        let n = Arc::new(Notifier::new());
+        let turn = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let (n, turn) = (Arc::clone(&n), Arc::clone(&turn));
+                std::thread::spawn(move || {
+                    for r in 0..ROUNDS {
+                        loop {
+                            let seen = n.epoch();
+                            if turn.load(Ordering::SeqCst) == r * THREADS + i {
+                                break;
+                            }
+                            let bound = std::time::Duration::from_secs(30);
+                            assert!(n.wait_timeout_epoch(seen, bound), "lost wakeup");
+                        }
+                        turn.fetch_add(1, Ordering::SeqCst);
+                        n.notify();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap_or_else(|_| panic!("ring thread panicked"));
+        }
+        assert_eq!(turn.load(Ordering::SeqCst), THREADS * ROUNDS);
+        assert_eq!(n.waiters.load(Ordering::SeqCst), 0);
     }
 }
