@@ -1,49 +1,29 @@
-//! The analyzer: a deterministic replay of the plan's matching semantics
-//! plus a wait-for-graph post-mortem when the replay stalls.
+//! The analyzer: the plan interpreter ([`crate::interp`]) run on the
+//! canonical schedule with an observer that collects the checks, plus a
+//! wait-for-graph post-mortem when the run stalls.
 //!
-//! The replay mirrors the runtime's eager-send model: sends never block,
-//! each receive consumes the earliest-arrived matching message (per-channel
-//! FIFO, so a specific receive takes its channel's head; a wildcard receive
-//! takes the matching message with the globally smallest arrival sequence —
-//! the *canonical matching*), collectives and fences are barriers over
-//! their communicator.  When every rank runs to completion the plan is
-//! deadlock-free under the canonical matching; when the replay stalls, the
-//! blocked ranks form a wait-for graph whose cycle (found by DFS) *is* the
-//! deadlock, reported rank by rank.
+//! The canonical schedule answers index 0 to every question: the lowest
+//! runnable rank runs next, and a wildcard receive takes the eligible
+//! message with the smallest arrival sequence — the *canonical matching*.
+//! When every rank runs to completion the plan is deadlock-free under the
+//! canonical matching; when the run stalls, the blocked ranks form a
+//! wait-for graph whose cycle (found by DFS) *is* the deadlock, reported
+//! rank by rank.
 //!
 //! Wildcard receives make matching nondeterministic, so any verdict in
 //! their presence is only canonical-matching-sound: completion becomes
 //! [`Verdict::PotentialDeadlock`], and a stall is reported as potential
 //! rather than definite (another matching might progress).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::diag::{ChannelUse, Code, Diag, Loc, Report, Severity, Verdict, WaitEdge};
+use crate::interp::{Canonical, Interp, Msg, Observer};
 use crate::plan::{CollKind, CommId, CommPlan, Op, Program, Src, Tag, WinId};
 use crate::race::{self, Determinism, IndependenceMap};
 
 /// Matching-scope channel key: `(comm, src, dst, tag)`.
-type ChanKey = (CommId, usize, usize, u32);
-
-/// Why a rank is parked.
-#[derive(Debug, Clone, Copy)]
-enum Blocked {
-    /// At a `Recv` whose match has not arrived (details re-read from the op).
-    Recv,
-    /// At occurrence `occ` of a collective on `comm`.
-    Coll { comm: CommId, occ: usize },
-    /// At occurrence `occ` of a fence on `win`.
-    Fence { win: WinId, occ: usize },
-}
-
-/// One member's arrival at a collective/fence occurrence.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    rank: usize,
-    step: usize,
-    kind: CollKind,
-    root: Option<usize>,
-}
+pub(crate) type ChanKey = (CommId, usize, usize, u32);
 
 /// One one-sided access inside the current epoch of a window.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +62,57 @@ pub fn analyze_program(p: &Program) -> Report {
             channels: Vec::new(),
         };
     }
-    Replay::new(p).run(diags)
+    let mut it = Interp::new(p);
+    let mut f = Findings::new(p);
+    // The canonical scheduler never aborts.
+    let _ = it.run(&mut Canonical, &mut f);
+    let stalled: Vec<usize> = (0..p.nranks()).filter(|&r| !it.done(r)).collect();
+    let verdict = if stalled.is_empty() {
+        f.finish_clean(&it)
+    } else {
+        post_mortem(&it, &stalled, &f.wildcard_sites, &mut f.diags)
+    };
+    diags.append(&mut f.diags);
+    report(p, diags, verdict, &f.totals, &f.matches)
+}
+
+/// Assemble the [`Report`]: per-channel totals plus the race pass over the
+/// canonical match log.
+pub(crate) fn report(
+    p: &Program,
+    mut diags: Vec<Diag>,
+    verdict: Verdict,
+    totals: &BTreeMap<ChanKey, (u64, u64)>,
+    matches: &[(Loc, Loc)],
+) -> Report {
+    let channels = totals
+        .iter()
+        .map(|(&(comm, src, dst, tag), &(messages, bytes))| ChannelUse {
+            comm,
+            src,
+            dst,
+            tag,
+            messages,
+            bytes,
+        })
+        .collect();
+    let (determinism, independence) = race::race_pass(p, matches, &mut diags);
+    Report {
+        plan: p.name().to_string(),
+        nranks: p.nranks(),
+        total_ops: p.total_ops(),
+        verdict,
+        determinism,
+        independence,
+        diags,
+        channels,
+    }
 }
 
 /// A001 pass: every rank/handle an op references must exist and be in
-/// scope.  Replay assumes this (it indexes unchecked), so analysis stops
-/// here when anything fails.
-fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
+/// scope.  The interpreter assumes this (it indexes unchecked), so
+/// analysis stops here when anything fails.
+pub(crate) fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
     let n = p.nranks();
     let mut push = |rank: usize, step: usize, msg: String| {
         diags.push(Diag {
@@ -142,96 +166,77 @@ fn check_well_formed(p: &Program, diags: &mut Vec<Diag>) {
     }
 }
 
-struct Replay<'p> {
+/// The analyzer's observer: channel totals, the canonical match log, the
+/// wildcard sites reached, and the checks that fire while the plan runs
+/// (collective agreement, one-sided epoch conflicts).
+struct Findings<'p> {
     p: &'p Program,
-    pc: Vec<usize>,
-    blocked: Vec<Option<Blocked>>,
-    /// Per-channel FIFO of (arrival seq, bytes).
-    channels: HashMap<ChanKey, VecDeque<(u64, u64)>>,
-    /// Per-destination pending messages in global arrival order.
-    arrivals: Vec<BTreeMap<u64, ChanKey>>,
-    next_seq: u64,
     totals: BTreeMap<ChanKey, (u64, u64)>,
-    /// Per comm: completed-or-open collective occurrences.
-    coll_occ: Vec<Vec<Vec<Arrival>>>,
-    /// Per comm, per rank: how many collectives this rank has completed.
-    coll_idx: Vec<Vec<usize>>,
-    /// Per win: fence occurrences / per-rank completed-fence counters.
-    fence_occ: Vec<Vec<Vec<Arrival>>>,
-    fence_idx: Vec<Vec<usize>>,
-    /// Per win: one-sided accesses of the currently open epoch.
-    epoch: Vec<Vec<Access>>,
-    wildcard_sites: Vec<Loc>,
-    /// Arrival seq → the send op that produced it (for the match log).
-    send_locs: HashMap<u64, Loc>,
     /// The canonical matching as `(send, recv)` location pairs.
     matches: Vec<(Loc, Loc)>,
+    /// Wildcard receives in the order they matched.
+    wildcard_sites: Vec<Loc>,
+    /// Per win: one-sided accesses of the currently open epoch.
+    epoch: Vec<Vec<Access>>,
     diags: Vec<Diag>,
 }
 
-impl<'p> Replay<'p> {
+impl Observer for Findings<'_> {
+    fn send(&mut self, rank: usize, _step: usize, dst: usize, _seq: u64, msg: &Msg) {
+        let t = self.totals.entry((msg.comm, rank, dst, msg.tag)).or_default();
+        t.0 += 1;
+        t.1 += msg.bytes;
+    }
+
+    fn recv(&mut self, rank: usize, step: usize, _seq: u64, msg: &Msg) {
+        let loc = Loc { rank, step };
+        if self.p.rank_ops(rank)[step].is_wildcard() {
+            self.wildcard_sites.push(loc);
+        }
+        self.matches.push((Loc { rank: msg.src, step: msg.step }, loc));
+    }
+
+    fn rma(&mut self, rank: usize, step: usize, op: &Op) {
+        let (Op::Put { win, target, offset, bytes }
+        | Op::Get { win, target, offset, bytes }
+        | Op::Accumulate { win, target, offset, bytes }) = *op
+        else {
+            return;
+        };
+        let write = !matches!(op, Op::Get { .. });
+        let accumulate = matches!(op, Op::Accumulate { .. });
+        let access = Access { origin: rank, step, target, offset, bytes, write, accumulate };
+        self.epoch[win.0 as usize].push(access);
+    }
+
+    fn barrier(&mut self, comm: CommId, occ: usize, arrived: &[(usize, usize)]) {
+        self.check_agreement(comm, occ, arrived);
+        // An occurrence closes the epoch of every window fenced in it.
+        let mut wins: Vec<WinId> = arrived
+            .iter()
+            .filter_map(|&(r, s)| match self.p.rank_ops(r)[s] {
+                Op::Fence { win } => Some(win),
+                _ => None,
+            })
+            .collect();
+        wins.sort_unstable();
+        wins.dedup();
+        for win in wins {
+            self.close_epoch(win);
+        }
+    }
+}
+
+impl<'p> Findings<'p> {
     fn new(p: &'p Program) -> Self {
-        let n = p.nranks();
-        Self {
+        Findings {
             p,
-            pc: vec![0; n],
-            blocked: vec![None; n],
-            channels: HashMap::new(),
-            arrivals: vec![BTreeMap::new(); n],
-            next_seq: 0,
             totals: BTreeMap::new(),
-            coll_occ: vec![Vec::new(); p.ncomms()],
-            coll_idx: vec![vec![0; n]; p.ncomms()],
-            fence_occ: vec![Vec::new(); p.nwins()],
-            fence_idx: vec![vec![0; n]; p.nwins()],
-            epoch: vec![Vec::new(); p.nwins()],
-            wildcard_sites: Vec::new(),
-            send_locs: HashMap::new(),
             matches: Vec::new(),
+            wildcard_sites: Vec::new(),
+            epoch: vec![Vec::new(); p.nwins()],
             diags: Vec::new(),
         }
-    }
-
-    fn done(&self, r: usize) -> bool {
-        self.pc[r] == self.p.rank_ops(r).len()
-    }
-
-    /// Find the earliest-arrived pending message for a receive, returning
-    /// its `(seq, channel)` without consuming it.
-    fn find_match(&self, r: usize, comm: CommId, src: Src, tag: Tag) -> Option<(u64, ChanKey)> {
-        match (src, tag) {
-            (Src::Rank(s), Tag::Is(t)) => {
-                let key = (comm, s, r, t);
-                let head = self.channels.get(&key)?.front()?;
-                Some((head.0, key))
-            }
-            _ => self.arrivals[r]
-                .iter()
-                .find(|(_, &(c, s, _, t))| {
-                    c == comm
-                        && tag.admits(t)
-                        && match src {
-                            Src::Rank(want) => s == want,
-                            Src::Any => true,
-                        }
-                })
-                .map(|(&seq, &key)| (seq, key)),
-        }
-    }
-
-    fn consume(&mut self, r: usize, seq: u64, key: ChanKey) {
-        if let Some(q) = self.channels.get_mut(&key) {
-            let head = q.pop_front();
-            debug_assert_eq!(
-                head.map(|(s, _)| s),
-                Some(seq),
-                "wildcard match must take its channel's head"
-            );
-            if q.is_empty() {
-                self.channels.remove(&key);
-            }
-        }
-        self.arrivals[r].remove(&seq);
     }
 
     /// Close the epoch of `win` at a completed fence: report conflicting
@@ -277,227 +282,41 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// Check kind/root agreement of a completed collective occurrence.
-    fn check_coll_agreement(&mut self, comm: CommId, occ: usize, arrivals: &[Arrival]) {
-        let first = arrivals[0];
-        for a in &arrivals[1..] {
-            if a.kind != first.kind {
-                self.diags.push(Diag {
-                    code: Code::A006,
-                    severity: Severity::Error,
-                    loc: Some(Loc { rank: a.rank, step: a.step }),
-                    message: format!(
-                        "collective #{occ} on comm {}: rank {} calls {} but rank {} calls {}",
-                        comm.0, a.rank, a.kind, first.rank, first.kind
-                    ),
-                });
-            } else if a.root != first.root {
-                let fmt_root = |r: Option<usize>| {
-                    r.map_or_else(|| "no root".to_string(), |r| format!("root {r}"))
-                };
-                self.diags.push(Diag {
-                    code: Code::A007,
-                    severity: Severity::Error,
-                    loc: Some(Loc { rank: a.rank, step: a.step }),
-                    message: format!(
-                        "collective {} #{occ} on comm {}: rank {} uses {} but rank {} uses {}",
-                        first.kind,
-                        comm.0,
-                        a.rank,
-                        fmt_root(a.root),
-                        first.rank,
-                        fmt_root(first.root)
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Run rank `r` until it blocks or finishes; returns ranks to wake.
-    fn step_rank(&mut self, r: usize) -> Vec<usize> {
-        let mut wake = Vec::new();
-        while self.pc[r] < self.p.rank_ops(r).len() {
-            let step = self.pc[r];
-            match self.p.rank_ops(r)[step] {
-                Op::Send { comm, dst, tag, bytes } => {
-                    let key = (comm, r, dst, tag);
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.send_locs.insert(seq, Loc { rank: r, step });
-                    self.channels.entry(key).or_default().push_back((seq, bytes));
-                    self.arrivals[dst].insert(seq, key);
-                    let t = self.totals.entry(key).or_default();
-                    t.0 += 1;
-                    t.1 += bytes;
-                    if matches!(self.blocked[dst], Some(Blocked::Recv)) {
-                        self.blocked[dst] = None;
-                        wake.push(dst);
-                    }
-                }
-                Op::Recv { comm, src, tag } => {
-                    if matches!(src, Src::Any) || matches!(tag, Tag::Any) {
-                        let loc = Loc { rank: r, step };
-                        if self.wildcard_sites.last() != Some(&loc) {
-                            self.wildcard_sites.push(loc);
-                        }
-                    }
-                    match self.find_match(r, comm, src, tag) {
-                        Some((seq, key)) => {
-                            if let Some(&s) = self.send_locs.get(&seq) {
-                                self.matches.push((s, Loc { rank: r, step }));
-                            }
-                            self.consume(r, seq, key);
-                        }
-                        None => {
-                            self.blocked[r] = Some(Blocked::Recv);
-                            return wake;
-                        }
-                    }
-                }
-                Op::Coll { comm, kind, root } => {
-                    let c = comm.0 as usize;
-                    let occ = self.coll_idx[c][r];
-                    if self.coll_occ[c].len() <= occ {
-                        self.coll_occ[c].resize(occ + 1, Vec::new());
-                    }
-                    self.coll_occ[c][occ].push(Arrival { rank: r, step, kind, root });
-                    // Well-formedness guarantees the comm exists; 0 never
-                    // equals a non-empty arrival count, so a (impossible)
-                    // miss simply parks the rank.
-                    let members = self.p.comm_members(comm).map_or(0, <[usize]>::len);
-                    if self.coll_occ[c][occ].len() == members {
-                        let arrivals = std::mem::take(&mut self.coll_occ[c][occ]);
-                        self.check_coll_agreement(comm, occ, &arrivals);
-                        for a in &arrivals {
-                            self.coll_idx[c][a.rank] = occ + 1;
-                            if a.rank != r {
-                                self.blocked[a.rank] = None;
-                                self.pc[a.rank] += 1;
-                                wake.push(a.rank);
-                            }
-                        }
-                    } else {
-                        self.blocked[r] = Some(Blocked::Coll { comm, occ });
-                        return wake;
-                    }
-                }
-                Op::Put { win, target, offset, bytes } => {
-                    self.epoch[win.0 as usize].push(Access {
-                        origin: r,
-                        step,
-                        target,
-                        offset,
-                        bytes,
-                        write: true,
-                        accumulate: false,
-                    });
-                }
-                Op::Get { win, target, offset, bytes } => {
-                    self.epoch[win.0 as usize].push(Access {
-                        origin: r,
-                        step,
-                        target,
-                        offset,
-                        bytes,
-                        write: false,
-                        accumulate: false,
-                    });
-                }
-                Op::Accumulate { win, target, offset, bytes } => {
-                    self.epoch[win.0 as usize].push(Access {
-                        origin: r,
-                        step,
-                        target,
-                        offset,
-                        bytes,
-                        write: true,
-                        accumulate: true,
-                    });
-                }
-                Op::Fence { win } => {
-                    let w = win.0 as usize;
-                    let occ = self.fence_idx[w][r];
-                    if self.fence_occ[w].len() <= occ {
-                        self.fence_occ[w].resize(occ + 1, Vec::new());
-                    }
-                    self.fence_occ[w][occ].push(Arrival {
-                        rank: r,
-                        step,
-                        kind: CollKind::Barrier,
-                        root: None,
-                    });
-                    let members = self
-                        .p
-                        .win_comm(win)
-                        .and_then(|c| self.p.comm_members(c))
-                        .map_or(0, <[usize]>::len);
-                    if self.fence_occ[w][occ].len() == members {
-                        let arrivals = std::mem::take(&mut self.fence_occ[w][occ]);
-                        self.close_epoch(win);
-                        for a in &arrivals {
-                            self.fence_idx[w][a.rank] = occ + 1;
-                            if a.rank != r {
-                                self.blocked[a.rank] = None;
-                                self.pc[a.rank] += 1;
-                                wake.push(a.rank);
-                            }
-                        }
-                    } else {
-                        self.blocked[r] = Some(Blocked::Fence { win, occ });
-                        return wake;
-                    }
-                }
-            }
-            self.pc[r] += 1;
-        }
-        wake
-    }
-
-    fn run(mut self, mut preexisting: Vec<Diag>) -> Report {
-        let n = self.p.nranks();
-        let mut runnable: Vec<usize> = (0..n).rev().collect();
-        while let Some(r) = runnable.pop() {
-            if self.blocked[r].is_some() || self.done(r) {
+    /// Check kind/root agreement of a completed occurrence against its
+    /// first arrival.  A fence is a barrier on its window's communicator,
+    /// so it agrees with a barrier.
+    fn check_agreement(&mut self, comm: CommId, occ: usize, arrived: &[(usize, usize)]) {
+        let sig = |r: usize, s: usize| match self.p.rank_ops(r)[s] {
+            Op::Coll { kind, root, .. } => (kind, root, kind.name()),
+            _ => (CollKind::Barrier, None, "fence"),
+        };
+        let fmt_root = |r: Option<usize>| r.map_or("no root".to_string(), |r| format!("root {r}"));
+        let (r0, s0) = arrived[0];
+        let (kind0, root0, name0) = sig(r0, s0);
+        for &(rank, step) in &arrived[1..] {
+            let (kind, root, name) = sig(rank, step);
+            let (code, message) = if kind != kind0 {
+                let on = format!("collective #{occ} on comm {}", comm.0);
+                (Code::A006, format!("{on}: rank {rank} calls {name} but rank {r0} calls {name0}"))
+            } else if root != root0 {
+                let (root, root0) = (fmt_root(root), fmt_root(root0));
+                let on = format!("collective {name0} #{occ} on comm {}", comm.0);
+                (Code::A007, format!("{on}: rank {rank} uses {root} but rank {r0} uses {root0}"))
+            } else {
                 continue;
-            }
-            let woken = self.step_rank(r);
-            runnable.extend(woken);
-        }
-        let stalled: Vec<usize> = (0..n).filter(|&r| !self.done(r)).collect();
-        let verdict =
-            if stalled.is_empty() { self.finish_clean() } else { self.post_mortem(&stalled) };
-        let channels = self
-            .totals
-            .iter()
-            .map(|(&(comm, src, dst, tag), &(messages, bytes))| ChannelUse {
-                comm,
-                src,
-                dst,
-                tag,
-                messages,
-                bytes,
-            })
-            .collect();
-        preexisting.append(&mut self.diags);
-        let (determinism, independence) = race::race_pass(self.p, &self.matches, &mut preexisting);
-        Report {
-            plan: self.p.name().to_string(),
-            nranks: n,
-            total_ops: self.p.total_ops(),
-            verdict,
-            determinism,
-            independence,
-            diags: preexisting,
-            channels,
+            };
+            let loc = Some(Loc { rank, step });
+            self.diags.push(Diag { code, severity: Severity::Error, loc, message });
         }
     }
 
     /// All ranks completed: flag leftover traffic and unclosed epochs, then
     /// classify by wildcard presence.
-    fn finish_clean(&mut self) -> Verdict {
-        let mut leftover: Vec<(ChanKey, usize)> =
-            self.channels.iter().map(|(&k, q)| (k, q.len())).filter(|&(_, len)| len > 0).collect();
-        leftover.sort_unstable();
+    fn finish_clean(&mut self, it: &Interp<'_>) -> Verdict {
+        let mut leftover: BTreeMap<ChanKey, usize> = BTreeMap::new();
+        for (dst, m) in it.in_flight() {
+            *leftover.entry((m.comm, m.src, dst, m.tag)).or_default() += 1;
+        }
         for ((comm, src, dst, tag), count) in leftover {
             self.diags.push(Diag {
                 code: Code::A003,
@@ -546,213 +365,168 @@ impl<'p> Replay<'p> {
             Verdict::PotentialDeadlock { wildcard_sites: sites }
         }
     }
+}
 
-    /// Does rank `s` still have a send matching `(comm, → dst, tag)` at or
-    /// after its current pc?
-    fn has_future_send(&self, s: usize, comm: CommId, dst: usize, tag: Tag) -> bool {
-        self.p.rank_ops(s)[self.pc[s]..].iter().any(|op| {
-            matches!(*op, Op::Send { comm: c, dst: d, tag: t, .. }
-                if c == comm && d == dst && tag.admits(t))
-        })
-    }
+/// Does rank `s` still have a send matching `(comm, → dst, tag)` at or
+/// after its current pc?
+fn has_future_send(it: &Interp<'_>, s: usize, comm: CommId, dst: usize, tag: Tag) -> bool {
+    it.program().rank_ops(s)[it.pc(s)..].iter().any(|op| {
+        matches!(*op, Op::Send { comm: c, dst: d, tag: t, .. }
+            if c == comm && d == dst && tag.admits(t))
+    })
+}
 
-    /// The replay stalled: build the wait-for graph over the blocked ranks,
-    /// report orphans / missing participants, find a cycle, classify.
-    fn post_mortem(&mut self, stalled: &[usize]) -> Verdict {
-        // Adjacency: r → (waits_for, description).  All stalled ranks are
-        // blocked (a runnable rank would have been stepped).
-        let mut edges: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
-        for &r in stalled {
-            let step = self.pc[r];
-            let mut out: Vec<(usize, String)> = Vec::new();
-            // A stalled rank is always blocked (a runnable one would have
-            // been stepped); a miss just contributes no wait edges.
-            let Some(blocked) = self.blocked[r] else { continue };
-            match blocked {
-                Blocked::Recv => {
-                    let Op::Recv { comm, src, tag } = self.p.rank_ops(r)[step] else {
-                        unreachable!("Blocked::Recv parks at a Recv op");
-                    };
-                    let tag_str = match tag {
-                        Tag::Is(t) => format!("tag {t}"),
-                        Tag::Any => "any tag".to_string(),
-                    };
-                    let candidates: Vec<usize> = match src {
-                        Src::Rank(s) => vec![s],
-                        Src::Any => (0..self.p.nranks()).filter(|&s| s != r).collect(),
-                    };
-                    let mut live = Vec::new();
-                    for s in candidates {
-                        if !self.done(s) && self.has_future_send(s, comm, r, tag) {
-                            live.push(s);
+/// The run stalled: build the wait-for graph over the blocked ranks,
+/// report orphans / missing participants, find a cycle, classify.
+fn post_mortem(
+    it: &Interp<'_>,
+    stalled: &[usize],
+    wildcard_sites: &[Loc],
+    diags: &mut Vec<Diag>,
+) -> Verdict {
+    let p = it.program();
+    let at_wildcard = |r: usize| p.rank_ops(r)[it.pc(r)].is_wildcard();
+    // Adjacency: r → (waits_for, description).
+    let mut edges: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
+    for &r in stalled {
+        let step = it.pc(r);
+        let mut out: Vec<(usize, String)> = Vec::new();
+        let (comm, occ, head, code, verb) = match p.rank_ops(r)[step] {
+            Op::Recv { comm, src, tag } => {
+                let tag_str = match tag {
+                    Tag::Is(t) => format!("tag {t}"),
+                    Tag::Any => "any tag".to_string(),
+                };
+                let candidates: Vec<usize> = match src {
+                    Src::Rank(s) => vec![s],
+                    Src::Any => (0..p.nranks()).filter(|&s| s != r).collect(),
+                };
+                let live: Vec<usize> = candidates
+                    .into_iter()
+                    .filter(|&s| !it.done(s) && has_future_send(it, s, comm, r, tag))
+                    .collect();
+                if live.is_empty() {
+                    let from = match src {
+                        Src::Rank(s) => {
+                            format!("rank {s}{}", if it.done(s) { " (terminated)" } else { "" })
                         }
-                    }
-                    if live.is_empty() {
-                        let from = match src {
-                            Src::Rank(s) => format!(
-                                "rank {s}{}",
-                                if self.done(s) { " (terminated)" } else { "" }
-                            ),
-                            Src::Any => "any source".to_string(),
-                        };
-                        self.diags.push(Diag {
-                            code: Code::A004,
-                            severity: Severity::Error,
-                            loc: Some(Loc { rank: r, step }),
-                            message: format!(
-                                "orphan receive: rank {r} waits for a message from {from} \
-                                 (comm {}, {tag_str}) that no remaining send can satisfy",
-                                comm.0
-                            ),
-                        });
-                    }
-                    for s in live {
-                        out.push((
-                            s,
-                            format!("a message from rank {s} (comm {}, {tag_str})", comm.0),
-                        ));
-                    }
-                }
-                Blocked::Coll { comm, occ } => {
-                    let Op::Coll { kind, .. } = self.p.rank_ops(r)[step] else {
-                        unreachable!("Blocked::Coll parks at a Coll op");
+                        Src::Any => "any source".to_string(),
                     };
-                    let arrived = move |b: Option<Blocked>| matches!(b, Some(Blocked::Coll { comm: c, occ: o }) if c == comm && o == occ);
-                    self.missing_members(comm, &arrived, &mut out, &mut |missing, done| {
-                        if done {
-                            Some(Diag {
-                                code: Code::A006,
-                                severity: Severity::Error,
-                                loc: Some(Loc { rank: r, step }),
-                                message: format!(
-                                    "collective {kind} #{occ} on comm {}: rank {missing} \
-                                     terminated without participating",
-                                    comm.0
-                                ),
-                            })
-                        } else {
-                            None
-                        }
+                    diags.push(Diag {
+                        code: Code::A004,
+                        severity: Severity::Error,
+                        loc: Some(Loc { rank: r, step }),
+                        message: format!(
+                            "orphan receive: rank {r} waits for a message from {from} \
+                             (comm {}, {tag_str}) that no remaining send can satisfy",
+                            comm.0
+                        ),
                     });
-                    for (_, what) in &mut out {
-                        *what = format!("collective {kind} #{occ} on comm {}: {what}", comm.0);
-                    }
                 }
-                Blocked::Fence { win, occ } => {
-                    let Some(comm) = self.p.win_comm(win) else { continue };
-                    let arrived = move |b: Option<Blocked>| matches!(b, Some(Blocked::Fence { win: w, occ: o }) if w == win && o == occ);
-                    self.missing_members(comm, &arrived, &mut out, &mut |missing, done| {
-                        if done {
-                            Some(Diag {
-                                code: Code::A009,
-                                severity: Severity::Error,
-                                loc: Some(Loc { rank: r, step }),
-                                message: format!(
-                                    "fence #{occ} on window {}: rank {missing} terminated \
-                                     without fencing",
-                                    win.0
-                                ),
-                            })
-                        } else {
-                            None
-                        }
-                    });
-                    for (_, what) in &mut out {
-                        *what = format!("fence #{occ} on window {}: {what}", win.0);
-                    }
+                for s in live {
+                    out.push((s, format!("a message from rank {s} (comm {}, {tag_str})", comm.0)));
                 }
+                edges.insert(r, out);
+                continue;
             }
-            edges.insert(r, out);
-        }
-        let chain = find_cycle(stalled, &edges, &self.pc);
-        let closed = chain
-            .last()
-            .zip(chain.first())
-            .is_some_and(|(last, first)| last.waits_for == first.rank);
-        let describe = |chain: &[WaitEdge]| {
-            chain
-                .iter()
-                .map(|e| format!("rank {} (step {}) → rank {}", e.rank, e.step, e.waits_for))
-                .collect::<Vec<_>>()
-                .join(", ")
+            // A stalled rank at a collective or fence is parked in the
+            // occurrence it is at (it would run otherwise).
+            Op::Coll { comm, kind, .. } => {
+                let occ = it.occurrence(r, comm);
+                let head = format!("collective {kind} #{occ} on comm {}", comm.0);
+                (comm, occ, head, Code::A006, "participating")
+            }
+            Op::Fence { win } => {
+                let Some(comm) = p.win_comm(win) else { continue };
+                let occ = it.occurrence(r, comm);
+                (comm, occ, format!("fence #{occ} on window {}", win.0), Code::A009, "fencing")
+            }
+            // Well-formedness rules out any other way to stall.
+            _ => continue,
         };
-        if self.wildcard_sites.is_empty()
-            && !stalled.iter().any(|&r| {
-                matches!(self.blocked[r], Some(Blocked::Recv))
-                    && matches!(
-                        self.p.rank_ops(r)[self.pc[r]],
-                        Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }
-                    )
-            })
-        {
-            if !chain.is_empty() {
-                self.diags.push(Diag {
-                    code: Code::A002,
-                    severity: Severity::Error,
-                    loc: chain.first().map(|e| Loc { rank: e.rank, step: e.step }),
-                    message: format!(
-                        "definite deadlock: {} among {} rank{}: {}",
-                        if closed { "circular wait" } else { "blocked chain" },
-                        chain.len(),
-                        if chain.len() == 1 { "" } else { "s" },
-                        describe(&chain)
-                    ),
-                });
-            }
-            Verdict::DefiniteDeadlock { cycle: chain }
-        } else {
-            let mut sites = self.wildcard_sites.clone();
-            for &r in stalled {
-                if matches!(self.blocked[r], Some(Blocked::Recv))
-                    && matches!(
-                        self.p.rank_ops(r)[self.pc[r]],
-                        Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }
-                    )
-                {
-                    let loc = Loc { rank: r, step: self.pc[r] };
-                    if !sites.contains(&loc) {
-                        sites.push(loc);
-                    }
-                }
-            }
-            self.diags.push(Diag {
-                code: Code::A010,
+        for missing in missing_members(it, comm, occ, &mut out) {
+            diags.push(Diag {
+                code,
+                severity: Severity::Error,
+                loc: Some(Loc { rank: r, step }),
+                message: format!("{head}: rank {missing} terminated without {verb}"),
+            });
+        }
+        for (_, what) in &mut out {
+            *what = format!("{head}: {what}");
+        }
+        edges.insert(r, out);
+    }
+    let chain = find_cycle(stalled, &edges, &|r| it.pc(r));
+    let closed =
+        chain.last().zip(chain.first()).is_some_and(|(last, first)| last.waits_for == first.rank);
+    let describe = |chain: &[WaitEdge]| {
+        chain
+            .iter()
+            .map(|e| format!("rank {} (step {}) → rank {}", e.rank, e.step, e.waits_for))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    if wildcard_sites.is_empty() && !stalled.iter().any(|&r| at_wildcard(r)) {
+        if !chain.is_empty() {
+            diags.push(Diag {
+                code: Code::A002,
                 severity: Severity::Error,
                 loc: chain.first().map(|e| Loc { rank: e.rank, step: e.step }),
                 message: format!(
-                    "potential deadlock: the canonical matching stalls ({}), but wildcard \
-                     receives make matching nondeterministic — another matching might progress",
-                    if chain.is_empty() { "no progress".to_string() } else { describe(&chain) }
+                    "definite deadlock: {} among {} rank{}: {}",
+                    if closed { "circular wait" } else { "blocked chain" },
+                    chain.len(),
+                    if chain.len() == 1 { "" } else { "s" },
+                    describe(&chain)
                 ),
             });
-            Verdict::PotentialDeadlock { wildcard_sites: sites }
         }
+        Verdict::DefiniteDeadlock { cycle: chain }
+    } else {
+        let mut sites = wildcard_sites.to_vec();
+        for &r in stalled {
+            let loc = Loc { rank: r, step: it.pc(r) };
+            if at_wildcard(r) && !sites.contains(&loc) {
+                sites.push(loc);
+            }
+        }
+        diags.push(Diag {
+            code: Code::A010,
+            severity: Severity::Error,
+            loc: chain.first().map(|e| Loc { rank: e.rank, step: e.step }),
+            message: format!(
+                "potential deadlock: the canonical matching stalls ({}), but wildcard \
+                 receives make matching nondeterministic — another matching might progress",
+                if chain.is_empty() { "no progress".to_string() } else { describe(&chain) }
+            ),
+        });
+        Verdict::PotentialDeadlock { wildcard_sites: sites }
     }
+}
 
-    /// Append an edge per not-yet-arrived member of `comm`; `arrived` tests
-    /// whether a member's park state is *this* barrier occurrence, and
-    /// `on_missing` turns a terminated member into a diagnostic instead.
-    fn missing_members(
-        &mut self,
-        comm: CommId,
-        arrived: &dyn Fn(Option<Blocked>) -> bool,
-        out: &mut Vec<(usize, String)>,
-        on_missing: &mut dyn FnMut(usize, bool) -> Option<Diag>,
-    ) {
-        let Some(members) = self.p.comm_members(comm).map(<[usize]>::to_vec) else { return };
-        for m in members {
-            if arrived(self.blocked[m]) {
-                continue;
-            }
-            let done = self.done(m);
-            if let Some(d) = on_missing(m, done) {
-                self.diags.push(d);
-            }
-            if !done {
-                out.push((m, format!("rank {m} has not arrived")));
-            }
+/// Append an edge per member of `comm` not yet arrived at occurrence
+/// `occ`; returns the members that terminated instead.
+fn missing_members(
+    it: &Interp<'_>,
+    comm: CommId,
+    occ: usize,
+    out: &mut Vec<(usize, String)>,
+) -> Vec<usize> {
+    let mut terminated = Vec::new();
+    let Some(members) = it.program().comm_members(comm) else { return terminated };
+    let arrived = it.arrived(comm, occ);
+    for &m in members {
+        if arrived.iter().any(|&(a, _)| a == m) {
+            continue;
+        }
+        if it.done(m) {
+            terminated.push(m);
+        } else {
+            out.push((m, format!("rank {m} has not arrived")));
         }
     }
+    terminated
 }
 
 /// DFS for a cycle in the wait-for graph; returns the cycle as `WaitEdge`s
@@ -760,10 +534,10 @@ impl<'p> Replay<'p> {
 /// the graph is a DAG into terminated/orphaned ranks; the longest blocking
 /// chain from the lowest stalled rank is returned instead so reports always
 /// show *why* nothing moves.
-fn find_cycle(
+pub(crate) fn find_cycle(
     stalled: &[usize],
     edges: &HashMap<usize, Vec<(usize, String)>>,
-    pc: &[usize],
+    pc: &dyn Fn(usize) -> usize,
 ) -> Vec<WaitEdge> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
@@ -804,7 +578,7 @@ fn find_cycle(
                             .get(&n)
                             .and_then(|v| v.iter().find(|&&(w, _)| w == to))
                             .map_or_else(String::new, |(_, s)| s.clone());
-                        out.push(WaitEdge { rank: n, step: pc[n], waits_for: to, what });
+                        out.push(WaitEdge { rank: n, step: pc(n), waits_for: to, what });
                     }
                     return out;
                 }
@@ -822,7 +596,7 @@ fn find_cycle(
     let mut seen = vec![start];
     let mut node = start;
     while let Some((next, what)) = edges.get(&node).and_then(|v| v.first()).cloned() {
-        out.push(WaitEdge { rank: node, step: pc[node], waits_for: next, what });
+        out.push(WaitEdge { rank: node, step: pc(node), waits_for: next, what });
         if seen.contains(&next) || !edges.contains_key(&next) {
             break;
         }

@@ -38,7 +38,7 @@ pub enum Code {
     /// Epoch error: accesses never closed by a fence, or fence participation
     /// mismatch.
     A009,
-    /// Potential deadlock: the canonical replay stalled, but wildcard
+    /// Potential deadlock: the canonical run stalled, but wildcard
     /// nondeterminism means another matching might progress.
     A010,
     /// Wildcard match race: a wildcard receive has racing sends on at
@@ -198,17 +198,17 @@ pub struct WaitEdge {
 /// claim is made).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// The canonical replay completed and matching is deterministic: every
+    /// The canonical run completed and matching is deterministic: every
     /// real execution completes.
     DeadlockFree,
-    /// Wildcard receives make matching nondeterministic.  The replay's
-    /// outcome holds for the canonical matching only; other matchings are
+    /// Wildcard receives make matching nondeterministic.  The canonical
+    /// run's outcome holds for the canonical matching only; other matchings are
     /// unverified.  `wildcard_sites` lists the nondeterministic receives.
     PotentialDeadlock {
         /// The wildcard receive sites introducing nondeterminism.
         wildcard_sites: Vec<Loc>,
     },
-    /// The replay stalled and matching is deterministic: every real
+    /// The canonical run stalled and matching is deterministic: every real
     /// execution deadlocks.  `cycle` is the circular wait, rank by rank
     /// (or, when the chain ends at a terminated rank, the blocking chain).
     DefiniteDeadlock {
@@ -269,7 +269,7 @@ pub struct Report {
     pub independence: IndependenceMap,
     /// All findings, in discovery order.
     pub diags: Vec<Diag>,
-    /// Per-channel traffic observed by the replay, sorted by
+    /// Per-channel traffic observed by the canonical run, sorted by
     /// `(comm, src, dst, tag)`.
     pub channels: Vec<ChannelUse>,
 }

@@ -49,7 +49,7 @@ impl Json {
     /// Parse a JSON document.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -92,6 +92,12 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The reader is
+/// recursive, so this bound is what keeps a hostile document (`[` repeated
+/// 200 000 times) from overflowing the stack; no plan, report or witness
+/// nests deeper than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -110,6 +116,8 @@ impl fmt::Display for ParseError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,8 +155,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

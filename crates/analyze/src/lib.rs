@@ -11,10 +11,13 @@
 //!    `mpisim` `Schedule`, the collective generators, the app kernels in
 //!    `mim-apps`, a JSON plan file) implements [`CommPlan`] and lowers
 //!    itself into a per-rank operation outline ([`Program`]);
-//! 2. [`analyze`] replays the outline under the runtime's matching
-//!    semantics — per-`(comm, src, dst, tag)` FIFO channels, eager sends,
-//!    blocking receives (wildcards take the earliest arrival), barrier
-//!    collectives and fences;
+//! 2. [`analyze`] runs the outline on the plan interpreter ([`interp`])
+//!    under the runtime's matching semantics — per-`(comm, src, dst, tag)`
+//!    FIFO channels, eager sends, blocking receives, collectives and
+//!    fences as barriers in one per-communicator sequence — on the
+//!    canonical schedule (the lowest runnable rank runs next; wildcards
+//!    take the earliest arrival).  `mim-explore` runs the same interpreter
+//!    under its own schedules;
 //! 3. a vector-clock happens-before pass ([`race`]) classifies every
 //!    wildcard receive as benign or racy, yielding a determinism verdict
 //!    (`Deterministic | SchedSensitive`) orthogonal to the deadlock
@@ -33,7 +36,10 @@
 
 pub mod check;
 pub mod diag;
+pub mod interp;
 pub mod json;
+#[cfg(test)]
+mod oracle;
 pub mod plan;
 pub mod race;
 
@@ -248,6 +254,47 @@ mod tests {
         assert!(r.is_clean(), "{r}");
     }
 
+    /// `fence_cross`: rank 0 fences then barriers, rank 1 barriers then
+    /// fences.  A fence is a barrier on its window's communicator, so it
+    /// takes a slot in that communicator's collective sequence: each
+    /// rank's first op pairs with the other's, and the plan completes —
+    /// as it does on the runtime (`mpisim`'s
+    /// `fence_takes_a_slot_in_the_communicator_sequence`).  Counting
+    /// fences per window instead reports a false circular wait (MIM-A002).
+    #[test]
+    fn fence_cross_is_deadlock_free() {
+        let mut p = Program::new("fence_cross", 2);
+        let w = p.add_window(WORLD);
+        let barrier = Op::Coll { comm: WORLD, kind: CollKind::Barrier, root: None };
+        p.push(0, Op::Put { win: w, target: 1, offset: 0, bytes: 8 });
+        p.push(0, Op::Fence { win: w });
+        p.push(0, barrier);
+        p.push(1, barrier);
+        p.push(1, Op::Fence { win: w });
+        let r = analyze(&p);
+        assert_eq!(r.verdict, Verdict::DeadlockFree, "{r}");
+        assert!(r.diags.is_empty(), "{r}");
+    }
+
+    /// One occurrence that gathers fences of two windows closes the epoch
+    /// of both: rank 2 completes it with a fence on window 1, yet window
+    /// 0's epoch closes too, reporting the conflicting puts (MIM-A008) and
+    /// leaving no access unclosed (no MIM-A009).
+    #[test]
+    fn shared_occurrence_closes_every_fenced_window() {
+        let mut p = Program::new("fence_two_windows", 3);
+        let (w0, w1) = (p.add_window(WORLD), p.add_window(WORLD));
+        p.push(0, Op::Put { win: w0, target: 2, offset: 0, bytes: 8 });
+        p.push(1, Op::Put { win: w0, target: 2, offset: 4, bytes: 8 });
+        p.push(0, Op::Fence { win: w0 });
+        p.push(1, Op::Fence { win: w0 });
+        p.push(2, Op::Fence { win: w1 });
+        let r = analyze(&p);
+        assert_eq!(r.verdict, Verdict::DeadlockFree, "{r}");
+        let codes: Vec<Code> = r.diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes, vec![Code::A008], "{r}");
+    }
+
     #[test]
     fn unfenced_epoch_flagged() {
         let mut p = Program::new("rma-unfenced", 2);
@@ -342,6 +389,20 @@ mod tests {
         let r = analyze(&p);
         assert!(matches!(r.verdict, Verdict::PotentialDeadlock { .. }), "{r}");
         assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        // Deep nesting is a typed error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.pos, json::MAX_DEPTH);
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert!(program_from_json(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(json::MAX_DEPTH), "]".repeat(json::MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -81,9 +81,10 @@ pub enum CollKind {
     Scan,
 }
 
-impl fmt::Display for CollKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CollKind {
+    /// Lower-snake name (`"bcast"`, `"reduce_scatter"`, …).
+    pub fn name(self) -> &'static str {
+        match self {
             CollKind::Barrier => "barrier",
             CollKind::Bcast => "bcast",
             CollKind::Reduce => "reduce",
@@ -94,8 +95,13 @@ impl fmt::Display for CollKind {
             CollKind::Scatter => "scatter",
             CollKind::ReduceScatter => "reduce_scatter",
             CollKind::Scan => "scan",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CollKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -173,6 +179,13 @@ pub enum Op {
         /// The window whose epoch closes.
         win: WinId,
     },
+}
+
+impl Op {
+    /// Is this a wildcard (`ANY_SOURCE` or `ANY_TAG`) receive?
+    pub fn is_wildcard(&self) -> bool {
+        matches!(self, Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. })
+    }
 }
 
 /// A complete communication plan: per-rank operation outlines plus the
@@ -267,10 +280,7 @@ impl Program {
 
     /// Does any rank contain a wildcard (`ANY_SOURCE`/`ANY_TAG`) receive?
     pub fn has_wildcards(&self) -> bool {
-        self.ranks
-            .iter()
-            .flatten()
-            .any(|op| matches!(op, Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. }))
+        self.ranks.iter().flatten().any(Op::is_wildcard)
     }
 }
 

@@ -11,7 +11,7 @@
 //!   removed from exploration without losing behaviors; it alone feeds the
 //!   [`IndependenceMap`];
 //! * the **canonical** relation — the static edges plus the match edges of
-//!   the analyzer's canonical replay (each matched receive additionally
+//!   the analyzer's canonical run (each matched receive additionally
 //!   joins its sender's clock).  It holds for one schedule only and is
 //!   used to *sharpen diagnostics* (which races reorder observable
 //!   receives, which feed later matches), never to prune.
@@ -42,7 +42,7 @@ use crate::plan::{CommId, Op, Program, Src, Tag};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Determinism {
     /// No wildcard race survives the happens-before analysis: every
-    /// schedule produces the same matching, so the canonical replay's
+    /// schedule produces the same matching, so the canonical run's
     /// outcome is *the* outcome and one explored schedule decides the plan.
     Deterministic,
     /// At least one wildcard receive has racing senders on distinct
@@ -122,10 +122,6 @@ impl Clocks {
     }
 }
 
-/// Barrier key: collectives per communicator, fences per window (mirroring
-/// the replay's separate occurrence counters).
-type BarrierKey = (bool, u32, usize);
-
 /// Compute per-op vector clocks by replaying the plan's *synchronization*
 /// only: sends and one-sided ops are local, collectives and fences are
 /// barriers (completion joins every member's clock), and — in canonical
@@ -144,9 +140,11 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
     let mut vc: Vec<Vec<Vec<u64>>> =
         (0..n).map(|r| vec![Vec::new(); p.rank_ops(r).len()]).collect();
     let mut pc = vec![0usize; n];
-    let mut coll_idx: Vec<Vec<usize>> = vec![vec![0; n]; p.ncomms()];
-    let mut fence_idx: Vec<Vec<usize>> = vec![vec![0; n]; p.nwins()];
-    let mut arrived: BTreeMap<BarrierKey, Vec<usize>> = BTreeMap::new();
+    let mut occ: Vec<Vec<usize>> = vec![vec![0; n]; p.ncomms()];
+    // Open barriers by `(comm, occurrence)`.  A fence is a barrier on its
+    // window's communicator and takes a slot in the same sequence as that
+    // communicator's collectives, as in the interpreter.
+    let mut arrived: BTreeMap<(CommId, usize), Vec<usize>> = BTreeMap::new();
     let mut barrier_pairs = 0usize;
 
     // One local (non-blocking) step of rank `r`.
@@ -161,12 +159,10 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
         for r in 0..n {
             'rank: while pc[r] < p.rank_ops(r).len() {
                 let step = pc[r];
-                let barrier: Option<(BarrierKey, CommId)> = match p.rank_ops(r)[step] {
-                    Op::Coll { comm, .. } => {
-                        Some(((false, comm.0, coll_idx[comm.0 as usize][r]), comm))
-                    }
+                let barrier: Option<CommId> = match p.rank_ops(r)[step] {
+                    Op::Coll { comm, .. } => Some(comm),
                     Op::Fence { win } => match p.win_comm(win) {
-                        Some(comm) => Some(((true, win.0, fence_idx[win.0 as usize][r]), comm)),
+                        Some(comm) => Some(comm),
                         None => break 'rank, // malformed: parked forever
                     },
                     Op::Recv { .. } => {
@@ -203,7 +199,8 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
                         continue 'rank;
                     }
                 };
-                let Some((key, comm)) = barrier else { break 'rank };
+                let Some(comm) = barrier else { break 'rank };
+                let key = (comm, occ[comm.0 as usize][r]);
                 let members = p.comm_members(comm).map_or(&[][..], |m| m);
                 let waiting = arrived.entry(key).or_default();
                 if !waiting.contains(&r) {
@@ -226,11 +223,7 @@ fn vc_pass(p: &Program, match_of_recv: Option<&BTreeMap<(usize, usize), Loc>>) -
                     let mstep = pc[m];
                     tick(&mut cur, &mut vc, m, mstep);
                     pc[m] += 1;
-                    if key.0 {
-                        fence_idx[key.1 as usize][m] += 1;
-                    } else {
-                        coll_idx[key.1 as usize][m] += 1;
-                    }
+                    occ[comm.0 as usize][m] += 1;
                 }
                 progressed = true;
             }
@@ -297,7 +290,7 @@ fn coll_phase(p: &Program, comm: CommId, rank: usize, step: usize) -> usize {
 
 /// Run the happens-before race pass over a well-formed program.
 ///
-/// `matches` is the canonical replay's match log as `(send, recv)`
+/// `matches` is the canonical run's match log as `(send, recv)`
 /// location pairs.  Appends MIM-A011…A016 warnings to `diags` and returns
 /// the determinism verdict plus the independence map.
 pub(crate) fn race_pass(
@@ -603,6 +596,27 @@ mod tests {
     }
 
     #[test]
+    fn fences_share_their_communicators_barrier_sequence() {
+        // Rank 0 fences then barriers, rank 1 barriers then fences: each
+        // rank's first op pairs with the other's (as on the runtime), so
+        // both occurrences add barrier edges.  Counting fences per window
+        // would park both ranks and find none.
+        let mut p = Program::new("fence_cross", 2);
+        let w = p.add_window(WORLD);
+        let barrier = Op::Coll { comm: WORLD, kind: crate::plan::CollKind::Barrier, root: None };
+        p.push(0, Op::Fence { win: w });
+        p.push(0, barrier);
+        p.push(0, wild_any());
+        p.push(1, barrier);
+        p.push(1, Op::Fence { win: w });
+        p.push(1, send(0, 0));
+        let r = analyze_program(&p);
+        // 4 program-order edges + 2 occurrences × 2 directed member pairs.
+        assert_eq!(r.independence.hb_edges, 8, "{r}");
+        assert_eq!(r.determinism, Determinism::Deterministic, "{r}");
+    }
+
+    #[test]
     fn benign_block_commutes() {
         // wildcard_clean in miniature: 3 identical wildcards drain exactly
         // the 3 admissible sends.
@@ -651,7 +665,7 @@ mod tests {
         p.push(1, send(0, 0));
         let r = analyze_program(&p);
         // Both sends sit *after* their barriers here, so the wildcard's
-        // racing set is empty and the canonical replay stalls at the
+        // racing set is empty and the canonical run stalls at the
         // wildcard — still deterministic, every schedule agrees.
         assert_eq!(r.determinism, Determinism::Deterministic, "{r}");
 

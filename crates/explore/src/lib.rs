@@ -40,6 +40,8 @@
 
 pub mod explore;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod plans;
 pub mod policy;
 

@@ -1,24 +1,21 @@
-//! The model executor: runs a `mim-analyze` [`Program`] outline under an
-//! explicit scheduler, surfacing exactly the nondeterminism the live
-//! runtime has — which runnable rank resumes next, which eligible channel
-//! a wildcard receive consumes — as policy decisions.
+//! The model executor: runs a `mim-analyze` [`Program`] outline on the
+//! analyzer's plan interpreter ([`mim_analyze::interp`]) under an explicit
+//! scheduler, surfacing exactly the nondeterminism the live runtime has —
+//! which runnable rank resumes next, which eligible channel a wildcard
+//! receive consumes — as policy decisions.
 //!
-//! Semantics mirror the analyzer's replay (and the runtime's matching
-//! rules): sends are eager and arrive instantly, receives block, channels
-//! `(comm, src, dst, tag)` are FIFO (non-overtaking), collectives and
-//! fences are barriers keyed by `(comm, occurrence)`, one-sided operations
-//! complete locally.  Scheduling is run-to-block: the chosen rank executes
-//! until it cannot make progress, which keeps decision logs proportional
-//! to the number of genuine branch points, not to the op count.
+//! This module is the explorer's layer over the interpreter: the
+//! [`ModelPolicy`] adapter with the race flags that feed the DPOR-lite
+//! persistent sets, and the observer that writes the normalized trace and
+//! the flight-recorder events.
 //!
 //! Every run is a pure function of `(program, policy decisions)`.  The
 //! normalized trace uses a logical step counter as its clock, so two runs
 //! that made the same decisions produce *byte-identical* output — the
 //! property witness replay rests on.
 
-use std::collections::BTreeMap;
-
-use mim_analyze::{CollKind, IndependenceMap, Op, Program, Src, Tag};
+use mim_analyze::interp::{Choice, Interp, Msg, Observer, Scheduler};
+use mim_analyze::{CommId, IndependenceMap, Op, Program, Src, Tag};
 use mim_trace::{TraceData, Tracer};
 
 use crate::policy::{RecordingPolicy, ReplayPolicy};
@@ -72,112 +69,41 @@ impl RunOutput {
     }
 }
 
-/// An in-flight message: arrival order plus its matching coordinates.
-#[derive(Debug, Clone, Copy)]
-struct Msg {
-    comm: u32,
-    src: usize,
-    tag: u32,
-    bytes: u64,
-}
-
-/// Static vocabulary for the flight recorder (its `name` fields never
-/// allocate).
-fn coll_name(kind: CollKind) -> &'static str {
-    match kind {
-        CollKind::Barrier => "barrier",
-        CollKind::Bcast => "bcast",
-        CollKind::Reduce => "reduce",
-        CollKind::Allreduce => "allreduce",
-        CollKind::Allgather => "allgather",
-        CollKind::Alltoall => "alltoall",
-        CollKind::Gather => "gather",
-        CollKind::Scatter => "scatter",
-        CollKind::ReduceScatter => "reduce_scatter",
-        CollKind::Scan => "scan",
-    }
-}
-
-fn src_desc(src: Src) -> String {
-    match src {
-        Src::Rank(r) => r.to_string(),
-        Src::Any => "any".into(),
-    }
-}
-
-fn tag_desc(tag: Tag) -> String {
-    match tag {
-        Tag::Is(t) => t.to_string(),
-        Tag::Any => "any".into(),
-    }
-}
-
-struct Model<'a> {
+/// Turns the interpreter's questions into [`ModelPolicy`] decisions,
+/// flagging which candidates race.
+struct Steer<'a> {
     program: &'a Program,
     policy: &'a dyn ModelPolicy,
-    tracer: Option<&'a std::sync::Arc<Tracer>>,
-    tracks: Vec<Option<mim_trace::TraceHandle>>,
-    /// Per-destination in-flight messages, keyed by global arrival sequence.
-    inbox: Vec<BTreeMap<u64, Msg>>,
-    next_seq: u64,
-    /// Per-rank program counter.
-    pc: Vec<usize>,
-    /// Ranks currently parked inside a collective (pc points at it).
-    joined: Vec<bool>,
-    /// Per-(rank, comm) collective occurrence counters.
-    occ: Vec<Vec<usize>>,
-    /// Barrier membership: (comm, occurrence) → ranks arrived.
-    barriers: BTreeMap<(u32, usize), Vec<usize>>,
     /// Which ranks ever wildcard-receive *racily*, and on which (comm, tag)
     /// space — the match-graph side of the persistent-set computation.
     /// Sites the independence map proves benign are omitted.
-    wildcard_pats: Vec<Vec<(u32, Tag)>>,
+    wildcard_pats: Vec<Vec<(CommId, Tag)>>,
     /// The analyzer's static independence relation, when supplied: benign
     /// wildcard sites stop seeding backtrack points (their decisions are
     /// still recorded, so logs stay byte-comparable).
     imap: Option<&'a IndependenceMap>,
-    trace: Vec<String>,
-    steps: usize,
 }
 
-impl<'a> Model<'a> {
+impl<'a> Steer<'a> {
     fn new(
         program: &'a Program,
         policy: &'a dyn ModelPolicy,
-        tracer: Option<&'a std::sync::Arc<Tracer>>,
         imap: Option<&'a IndependenceMap>,
     ) -> Self {
-        let n = program.nranks();
-        let mut wildcard_pats = vec![Vec::new(); n];
+        let mut wildcard_pats = vec![Vec::new(); program.nranks()];
         for (r, pats) in wildcard_pats.iter_mut().enumerate() {
             for (step, op) in program.rank_ops(r).iter().enumerate() {
                 if imap.is_some_and(|m| m.wildcard_is_benign(r, step)) {
                     continue; // statically order-insensitive: not a race
                 }
                 if let Op::Recv { comm, src: Src::Any, tag } = op {
-                    pats.push((comm.0, *tag));
+                    pats.push((*comm, *tag));
                 } else if let Op::Recv { comm, tag: Tag::Any, .. } = op {
-                    pats.push((comm.0, Tag::Any));
+                    pats.push((*comm, Tag::Any));
                 }
             }
         }
-        let tracks = (0..n).map(|r| tracer.map(|t| t.track(format!("rank{r}")))).collect();
-        Model {
-            program,
-            policy,
-            tracer,
-            tracks,
-            inbox: vec![BTreeMap::new(); n],
-            next_seq: 0,
-            pc: vec![0; n],
-            joined: vec![false; n],
-            occ: vec![vec![0; program.ncomms()]; n],
-            barriers: BTreeMap::new(),
-            wildcard_pats,
-            imap,
-            trace: Vec::new(),
-            steps: 0,
-        }
+        Steer { program, policy, wildcard_pats, imap }
     }
 
     /// Is the wildcard receive at `(r, step)` statically order-insensitive?
@@ -185,6 +111,62 @@ impl<'a> Model<'a> {
         self.imap.is_some_and(|m| m.wildcard_is_benign(r, step))
     }
 
+    /// Does some wildcard receive of `dst` admit a `(comm, tag)` message?
+    /// Such sends are *racy*: their arrival order can steer the match.
+    fn send_is_racy(&self, dst: usize, comm: CommId, tag: u32) -> bool {
+        self.wildcard_pats[dst].iter().any(|&(c, t)| c == comm && t.admits(tag))
+    }
+
+    /// Can a later decision about rank `r` (now at step `pc`) change any
+    /// wildcard match?  Conservative (whole remaining program, not just
+    /// the next burst): errs toward exploring, never toward pruning a real
+    /// race.  Wildcard sites the independence map proves benign do not
+    /// count.
+    fn rank_is_racy(&self, r: usize, pc: usize) -> bool {
+        self.program.rank_ops(r)[pc..].iter().enumerate().any(|(j, op)| match *op {
+            Op::Send { comm, dst, tag, .. } => self.send_is_racy(dst, comm, tag),
+            Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. } => {
+                !self.wildcard_is_benign(r, pc + j)
+            }
+            _ => false,
+        })
+    }
+}
+
+impl Scheduler for Steer<'_> {
+    fn pick(&mut self, pc: &[usize], choice: Choice<'_>) -> usize {
+        match choice {
+            Choice::Resume(ranks) => {
+                let racy: Vec<bool> = ranks.iter().map(|&r| self.rank_is_racy(r, pc[r])).collect();
+                self.policy.pick('r', ranks.len(), &racy)
+            }
+            Choice::Match { rank, step, n } => {
+                // A benign site still *records* its decision (logs stay
+                // byte-comparable) but flags every candidate non-racy, so
+                // the persistent set is empty and the DFS never backtracks
+                // here.
+                let racy =
+                    if self.wildcard_is_benign(rank, step) { vec![false; n] } else { Vec::new() };
+                self.policy.pick('w', n, &racy)
+            }
+        }
+    }
+
+    fn abort(&self) -> Option<String> {
+        self.policy.error()
+    }
+}
+
+/// Writes the normalized trace (and, with a tracer, per-rank flight
+/// recorder events) of a model run.
+struct Recorder<'a> {
+    program: &'a Program,
+    tracks: Vec<Option<mim_trace::TraceHandle>>,
+    trace: Vec<String>,
+    steps: usize,
+}
+
+impl Recorder<'_> {
     fn record(&mut self, rank: usize, line: String, data: Option<TraceData>) {
         if let (Some(track), Some(data)) = (&self.tracks[rank], data) {
             track.record(self.steps as f64, data);
@@ -192,270 +174,84 @@ impl<'a> Model<'a> {
         self.trace.push(line);
         self.steps += 1;
     }
+}
 
-    fn done(&self, r: usize) -> bool {
-        self.pc[r] >= self.program.rank_ops(r).len()
+impl Observer for Recorder<'_> {
+    fn send(&mut self, rank: usize, _step: usize, dst: usize, seq: u64, m: &Msg) {
+        let line = format!(
+            "t={} rank={rank} send dst={dst} comm={} tag={} bytes={} seq={seq}",
+            self.steps, m.comm.0, m.tag, m.bytes
+        );
+        let data = TraceData::DesStep { rank, op: "send", peer: dst, bytes: m.bytes };
+        self.record(rank, line, Some(data));
     }
 
-    /// Does some wildcard receive of `dst` admit a `(comm, tag)` message?
-    /// Such sends are *racy*: their arrival order can steer the match.
-    fn send_is_racy(&self, dst: usize, comm: u32, tag: u32) -> bool {
-        self.wildcard_pats[dst].iter().any(|&(c, t)| c == comm && t.admits(tag))
+    fn recv(&mut self, rank: usize, _step: usize, seq: u64, m: &Msg) {
+        let line = format!(
+            "t={} rank={rank} recv src={} comm={} tag={} bytes={} seq={seq}",
+            self.steps, m.src, m.comm.0, m.tag, m.bytes
+        );
+        let data = TraceData::DesStep { rank, op: "recv", peer: m.src, bytes: m.bytes };
+        self.record(rank, line, Some(data));
     }
 
-    /// Can a later decision about rank `r` change any wildcard match?
-    /// Conservative (whole remaining program, not just the next burst):
-    /// errs toward exploring, never toward pruning a real race.  Wildcard
-    /// sites the independence map proves benign do not count.
-    fn rank_is_racy(&self, r: usize) -> bool {
-        self.program.rank_ops(r)[self.pc[r]..].iter().enumerate().any(|(j, op)| match *op {
-            Op::Send { comm, dst, tag, .. } => self.send_is_racy(dst, comm.0, tag),
-            Op::Recv { src: Src::Any, .. } | Op::Recv { tag: Tag::Any, .. } => {
-                !self.wildcard_is_benign(r, self.pc[r] + j)
-            }
-            _ => false,
-        })
+    fn rma(&mut self, rank: usize, _step: usize, op: &Op) {
+        let (verb, win, target, bytes) = match *op {
+            Op::Put { win, target, bytes, .. } => ("put", win, target, bytes),
+            Op::Get { win, target, bytes, .. } => ("get", win, target, bytes),
+            Op::Accumulate { win, target, bytes, .. } => ("accumulate", win, target, bytes),
+            _ => return,
+        };
+        let line = format!(
+            "t={} rank={rank} rma {verb} target={target} win={} bytes={bytes}",
+            self.steps, win.0
+        );
+        self.record(rank, line, None);
     }
 
-    /// Matching channels for a receive, in head-arrival order (the slate a
-    /// wildcard decision ranges over).  One entry per distinct
-    /// `(comm, src, tag)` channel, carrying that channel's head sequence.
-    fn slate(&self, r: usize, comm: u32, src: Src, tag: Tag) -> Vec<(u64, Msg)> {
-        let mut seen: Vec<(usize, u32)> = Vec::new();
-        let mut out = Vec::new();
-        for (&seq, m) in &self.inbox[r] {
-            if m.comm != comm || !tag.admits(m.tag) {
-                continue;
+    fn barrier(&mut self, comm: CommId, occ: usize, arrived: &[(usize, usize)]) {
+        // Every member's line describes the op that completed the barrier.
+        let Some(&(last, last_step)) = arrived.last() else { return };
+        let desc = match self.program.rank_ops(last)[last_step] {
+            Op::Coll { kind, root: Some(root), .. } => {
+                format!("coll {kind} comm={} root={root}", comm.0)
             }
-            if let Src::Rank(want) = src {
-                if m.src != want {
-                    continue;
-                }
-            }
-            if !seen.contains(&(m.src, m.tag)) {
-                seen.push((m.src, m.tag));
-                out.push((seq, *m));
-            }
-        }
-        out
-    }
-
-    /// Join rank `r`'s pending collective; returns true if that completed
-    /// the barrier (releasing every participant).
-    fn join_coll(&mut self, r: usize, comm: u32, members: &[usize], desc: String) -> bool {
-        let occ = self.occ[r][comm as usize];
-        let arrived = self.barriers.entry((comm, occ)).or_default();
-        arrived.push(r);
-        self.joined[r] = true;
-        if arrived.len() < members.len() {
-            return false;
-        }
-        let arrived = self.barriers.remove(&(comm, occ)).unwrap_or_default();
-        for &m in &arrived {
-            self.joined[m] = false;
-            self.pc[m] += 1;
-            self.occ[m][comm as usize] += 1;
+            Op::Coll { kind, root: None, .. } => format!("coll {kind} comm={}", comm.0),
+            Op::Fence { win } => format!("fence win={} comm={}", win.0, comm.0),
+            _ => return,
+        };
+        for &(m, _) in arrived {
             let line = format!("t={} rank={m} {desc} occ={occ}", self.steps);
-            self.record(
-                m,
-                line,
-                Some(TraceData::DesStep { rank: m, op: "park", peer: r, bytes: 0 }),
-            );
-        }
-        true
-    }
-
-    /// Execute ops of rank `r` until it blocks or finishes (run-to-block).
-    fn burst(&mut self, r: usize) {
-        loop {
-            if self.done(r) {
-                return;
-            }
-            let op = self.program.rank_ops(r)[self.pc[r]];
-            match op {
-                Op::Send { comm, dst, tag, bytes } => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.inbox[dst].insert(seq, Msg { comm: comm.0, src: r, tag, bytes });
-                    self.pc[r] += 1;
-                    let line = format!(
-                        "t={} rank={r} send dst={dst} comm={} tag={tag} bytes={bytes} seq={seq}",
-                        self.steps, comm.0
-                    );
-                    self.record(
-                        r,
-                        line,
-                        Some(TraceData::DesStep { rank: r, op: "send", peer: dst, bytes }),
-                    );
-                }
-                Op::Recv { comm, src, tag } => {
-                    let slate = self.slate(r, comm.0, src, tag);
-                    let (seq, m) = match slate.len() {
-                        0 => return, // blocked
-                        1 => slate[0],
-                        n => {
-                            // A benign site still *records* its decision
-                            // (logs stay byte-comparable) but flags every
-                            // candidate non-racy, so the persistent set is
-                            // empty and the DFS never backtracks here.
-                            let racy: Vec<bool> = if self.wildcard_is_benign(r, self.pc[r]) {
-                                vec![false; n]
-                            } else {
-                                Vec::new()
-                            };
-                            let i = self.policy.pick('w', n, &racy);
-                            slate[i.min(n - 1)]
-                        }
-                    };
-                    self.inbox[r].remove(&seq);
-                    self.pc[r] += 1;
-                    let line = format!(
-                        "t={} rank={r} recv src={} comm={} tag={} bytes={} seq={seq}",
-                        self.steps, m.src, m.comm, m.tag, m.bytes
-                    );
-                    self.record(
-                        r,
-                        line,
-                        Some(TraceData::DesStep {
-                            rank: r,
-                            op: "recv",
-                            peer: m.src,
-                            bytes: m.bytes,
-                        }),
-                    );
-                }
-                Op::Coll { comm, kind, root } => {
-                    let Some(members) = self.program.comm_members(comm).map(<[usize]>::to_vec)
-                    else {
-                        return; // malformed: treat as blocked forever
-                    };
-                    let desc = match root {
-                        Some(root) => {
-                            format!("coll {} comm={} root={root}", coll_name(kind), comm.0)
-                        }
-                        None => format!("coll {} comm={}", coll_name(kind), comm.0),
-                    };
-                    if !self.join_coll(r, comm.0, &members, desc) {
-                        return; // parked in the barrier
-                    }
-                }
-                Op::Put { win, target, bytes, .. }
-                | Op::Get { win, target, bytes, .. }
-                | Op::Accumulate { win, target, bytes, .. } => {
-                    let verb = match op {
-                        Op::Put { .. } => "put",
-                        Op::Get { .. } => "get",
-                        _ => "accumulate",
-                    };
-                    self.pc[r] += 1;
-                    let line = format!(
-                        "t={} rank={r} rma {verb} target={target} win={} bytes={bytes}",
-                        self.steps, win.0
-                    );
-                    self.record(r, line, None);
-                }
-                Op::Fence { win } => {
-                    let Some(comm) = self.program.win_comm(win) else {
-                        return;
-                    };
-                    let Some(members) = self.program.comm_members(comm).map(<[usize]>::to_vec)
-                    else {
-                        return;
-                    };
-                    let desc = format!("fence win={} comm={}", win.0, comm.0);
-                    if !self.join_coll(r, comm.0, &members, desc) {
-                        return;
-                    }
-                }
-            }
+            let data = TraceData::DesStep { rank: m, op: "park", peer: last, bytes: 0 };
+            self.record(m, line, Some(data));
         }
     }
+}
 
-    /// Is `r` able to make progress right now?
-    fn runnable(&self, r: usize) -> bool {
-        if self.done(r) || self.joined[r] {
-            return false;
-        }
-        match self.program.rank_ops(r)[self.pc[r]] {
-            Op::Recv { comm, src, tag } => !self.slate(r, comm.0, src, tag).is_empty(),
-            // A reference to an unknown comm or window (a malformed plan
-            // the analyzer would reject) blocks forever instead of spinning.
-            Op::Coll { comm, .. } => self.program.comm_members(comm).is_some(),
-            Op::Fence { win } => {
-                self.program.win_comm(win).and_then(|c| self.program.comm_members(c)).is_some()
-            }
-            _ => true,
-        }
-    }
-
-    /// Describe why `r` is not done (the normalized stuck dump).
-    fn stuck_line(&self, r: usize) -> String {
-        let pc = self.pc[r];
-        match self.program.rank_ops(r)[pc] {
-            Op::Recv { comm, src, tag } => format!(
-                "rank {r} blocked at step {pc}: recv src={} tag={} comm={} (0 eligible)",
-                src_desc(src),
-                tag_desc(tag),
+/// Describe why `r` is not done (the normalized stuck dump).
+fn stuck_line(it: &Interp<'_>, r: usize) -> String {
+    let pc = it.pc(r);
+    match it.program().rank_ops(r)[pc] {
+        Op::Recv { comm, src, tag } => {
+            let src = if let Src::Rank(s) = src { s.to_string() } else { "any".into() };
+            let tag = if let Tag::Is(t) = tag { t.to_string() } else { "any".into() };
+            format!(
+                "rank {r} blocked at step {pc}: recv src={src} tag={tag} comm={} (0 eligible)",
                 comm.0
-            ),
-            Op::Coll { comm, kind, .. } => {
-                let occ = self.occ[r][comm.0 as usize];
-                let arrived = self.barriers.get(&(comm.0, occ)).map_or(0, Vec::len);
-                let members = self.program.comm_members(comm).map_or(0, <[usize]>::len);
-                format!(
-                    "rank {r} blocked at step {pc}: coll {} comm={} occ={occ} \
-                     ({arrived}/{members} arrived)",
-                    coll_name(kind),
-                    comm.0
-                )
-            }
-            Op::Fence { win } => format!("rank {r} blocked at step {pc}: fence win={}", win.0),
-            ref op => format!("rank {r} blocked at step {pc}: {op:?}"),
+            )
         }
-    }
-
-    fn run(mut self) -> Result<RunOutput, String> {
-        // Every scheduler iteration either executes an op or parks a rank
-        // in a barrier, so this bound is unreachable without a model bug.
-        let max_iters = 2 * self.program.total_ops() + self.program.nranks() + 4;
-        let mut iters = 0;
-        let n = self.program.nranks();
-        loop {
-            if let Some(err) = self.policy.error() {
-                return Err(err);
-            }
-            iters += 1;
-            if iters > max_iters {
-                return Err(format!(
-                    "model executor exceeded its iteration budget ({max_iters}) — \
-                     this is a bug in the model, not the plan"
-                ));
-            }
-            let runnable: Vec<usize> = (0..n).filter(|&r| self.runnable(r)).collect();
-            let chosen = match runnable.len() {
-                0 => break,
-                1 => runnable[0],
-                k => {
-                    let racy: Vec<bool> = runnable.iter().map(|&r| self.rank_is_racy(r)).collect();
-                    let i = self.policy.pick('r', k, &racy);
-                    runnable[i.min(k - 1)]
-                }
-            };
-            self.burst(chosen);
+        Op::Coll { comm, kind, .. } => {
+            let occ = it.occurrence(r, comm);
+            let arrived = it.arrived(comm, occ).len();
+            let members = it.program().comm_members(comm).map_or(0, <[usize]>::len);
+            format!(
+                "rank {r} blocked at step {pc}: coll {kind} comm={} occ={occ} \
+                 ({arrived}/{members} arrived)",
+                comm.0
+            )
         }
-        if let Some(err) = self.policy.error() {
-            return Err(err);
-        }
-        let stuck: Vec<String> =
-            (0..n).filter(|&r| !self.done(r)).map(|r| self.stuck_line(r)).collect();
-        if let Some(t) = self.tracer {
-            t.flush();
-        }
-        Ok(RunOutput {
-            trace: self.trace,
-            stuck: (!stuck.is_empty()).then_some(stuck),
-            steps: self.steps,
-        })
+        Op::Fence { win } => format!("rank {r} blocked at step {pc}: fence win={}", win.0),
+        ref op => format!("rank {r} blocked at step {pc}: {op:?}"),
     }
 }
 
@@ -469,7 +265,7 @@ pub fn run_model(
     policy: &dyn ModelPolicy,
     tracer: Option<&std::sync::Arc<Tracer>>,
 ) -> Result<RunOutput, String> {
-    Model::new(program, policy, tracer, None).run()
+    run_model_with(program, policy, tracer, None)
 }
 
 /// [`run_model`], additionally consulting the analyzer's static
@@ -483,13 +279,26 @@ pub fn run_model_with(
     tracer: Option<&std::sync::Arc<Tracer>>,
     independence: Option<&IndependenceMap>,
 ) -> Result<RunOutput, String> {
-    Model::new(program, policy, tracer, independence).run()
+    let tracks = (0..program.nranks()).map(|r| tracer.map(|t| t.track(format!("rank{r}"))));
+    let mut rec = Recorder { program, tracks: tracks.collect(), trace: Vec::new(), steps: 0 };
+    let mut it = Interp::new(program);
+    it.run(&mut Steer::new(program, policy, independence), &mut rec)?;
+    let stuck: Vec<String> =
+        (0..program.nranks()).filter(|&r| !it.done(r)).map(|r| stuck_line(&it, r)).collect();
+    if let Some(t) = tracer {
+        t.flush();
+    }
+    Ok(RunOutput {
+        trace: rec.trace,
+        stuck: (!stuck.is_empty()).then_some(stuck),
+        steps: rec.steps,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mim_analyze::{CommId, WORLD};
+    use mim_analyze::{CollKind, CommId, WORLD};
 
     fn send(dst: usize, tag: u32) -> Op {
         Op::Send { comm: WORLD, dst, tag, bytes: 8 }

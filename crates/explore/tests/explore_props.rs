@@ -13,7 +13,7 @@ use mim_explore::{
     explore, explore_with, replay, run_model, Budget, Outcome, RecordingPolicy, ReplayPolicy,
     Witness,
 };
-use mim_mpisim::{SrcSel, TagSel, Universe, UniverseConfig};
+use mim_mpisim::{ExecutorKind, SrcSel, TagSel, Universe, UniverseConfig};
 use mim_topology::{Machine, Placement};
 use mim_util::props;
 use mim_util::rng::splitmix64;
@@ -218,10 +218,16 @@ fn exploration_separates_what_the_analyzer_cannot() {
 /// steers a second live run to the identical observable behavior: record a
 /// wildcard-steering run, then replay its log with a strict
 /// `ReplayPolicy`.
+///
+/// The universe is pinned to the task executor: under a schedule policy it
+/// runs every rank on one worker, so the decisions it asks (task resumes
+/// and wildcard takes) come in the same order on every run, whatever
+/// `MIM_EXECUTOR` says.
 #[test]
 fn decision_logs_drive_the_live_runtime() {
     let run = |policy: Arc<dyn mim_mpisim::SchedulePolicy>| {
         let cfg = UniverseConfig::new(Machine::cluster(1, 1, 4), Placement::packed(2))
+            .with_executor(ExecutorKind::Tasks)
             .with_schedule_policy(policy);
         let u = Universe::new(cfg);
         u.launch(|rank| {
@@ -241,8 +247,18 @@ fn decision_logs_drive_the_live_runtime() {
         })
     };
 
+    // A canonical run shows where the first wildcard decision falls among
+    // the task-resume ones; the script keeps the canonical answers before
+    // it and steers it to the later channel.
+    let canonical = Arc::new(RecordingPolicy::canonical());
+    assert_eq!(run(canonical.clone())[0], vec![5, 6], "canonical takes the earliest arrival");
+    let recs = canonical.recs();
+    let first_w = recs.iter().position(|r| r.kind == 'w').expect("a wildcard decision");
+    let mut script: Vec<usize> = recs[..first_w].iter().map(|r| r.chosen).collect();
+    script.push(1);
+
     // Record: steer the first wildcard match to the later channel.
-    let rec = Arc::new(RecordingPolicy::scripted(vec![1]));
+    let rec = Arc::new(RecordingPolicy::scripted(script));
     let tags = run(rec.clone());
     assert_eq!(tags[0], vec![6, 5], "the scripted choice must steer the live match");
     let log = rec.log();

@@ -107,6 +107,11 @@ thread_local! {
 
 /// The rank task the calling thread is executing, if any.  `None` under
 /// thread-per-rank (callers fall back to genuinely thread-local state).
+///
+/// Never inlined: rank code that calls this on both sides of a park may
+/// resume on another worker thread, and an inlined thread-local read could
+/// reuse the first thread's address (see `mim_util::fiber::suspend`).
+#[inline(never)]
 pub fn current_task() -> Option<TaskId> {
     CURRENT_TASK.with(std::cell::Cell::get)
 }

@@ -183,6 +183,32 @@ mod tests {
         });
     }
 
+    /// A fence is a barrier on the window's communicator, so it takes a
+    /// slot in that communicator's collective sequence: rank 0's fence
+    /// pairs with rank 1's barrier and rank 0's barrier with rank 1's
+    /// fence, and the crossed order completes (the `fence_cross` plan the
+    /// analyzer calls deadlock-free).
+    #[test]
+    fn fence_takes_a_slot_in_the_communicator_sequence() {
+        let u = universe(2);
+        let seen = u.launch(|rank| {
+            let world = rank.comm_world();
+            let win = rank.win_create(&world, vec![0u8; 4]);
+            if world.rank() == 0 {
+                rank.put(&win, 1, 0, &[7u8]);
+                rank.fence(&win);
+                rank.barrier(&world);
+            } else {
+                rank.barrier(&world);
+                rank.fence(&win);
+            }
+            let local = rank.win_local(&win);
+            rank.win_free(win);
+            local
+        });
+        assert_eq!(seen[1], vec![7, 0, 0, 0]);
+    }
+
     #[test]
     fn get_reads_remote_data() {
         let u = universe(2);

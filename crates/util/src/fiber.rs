@@ -222,6 +222,15 @@ mod imp {
 
     /// Suspend the currently running fiber, returning control to whoever
     /// called [`Fiber::resume`].  Panics when called outside a fiber.
+    ///
+    /// Never inlined, like [`is_fiber`]: a suspended fiber can resume on
+    /// another thread, but the compiler assumes a function body runs on
+    /// one thread and may compute a thread-local's address once for the
+    /// whole body.  Inlined into a fiber body, two `suspend` calls would
+    /// share one `CURRENT` address, and after a migration the second would
+    /// read the old thread's slot.  Out of line, every call computes it
+    /// afresh on the thread it runs on.
+    #[inline(never)]
     pub fn suspend() {
         let ptr = CURRENT.with(|c| c.get());
         assert!(!ptr.is_null(), "fiber::suspend() called outside a fiber");
@@ -232,7 +241,9 @@ mod imp {
         }
     }
 
-    /// Whether the calling code is running inside a fiber.
+    /// Whether the calling code is running inside a fiber.  Never inlined;
+    /// see [`suspend`].
+    #[inline(never)]
     pub fn is_fiber() -> bool {
         CURRENT.with(|c| !c.get().is_null())
     }

@@ -6,8 +6,10 @@ For each (n, root, bytes) shape the gate runs the CLI in `--all --json`
 mode and checks that every report is schema-valid, clean, and
 deadlock-free; one pretty run per shape checks the human-readable path.
 Negative controls: a JSON plan with a known crossed-order deadlock must
-exit 1 and classify `definite_deadlock`, and a malformed plan must be
-rejected — so the gate also fails if the analyzer ever goes blind.
+exit 1 and classify `definite_deadlock`, a malformed plan must be
+rejected — so the gate also fails if the analyzer ever goes blind — and a
+document nested 200 000 levels deep must be refused as a usage error
+(exit 2), not crash the reader with a stack overflow.
 
 Usage: check_analyze.py path/to/mim-analyze
 """
@@ -120,6 +122,16 @@ def check_negative_controls(cli, problems):
             problems.append(f"malformed control: verdict {rep.get('verdict')}")
         if not any(d.get("code") == "MIM-A001" for d in rep.get("diags", [])):
             problems.append("malformed control: no MIM-A001 diagnostic")
+
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
+        f.write("[" * 200_000)
+        path = f.name
+    r = run(cli, ["--plan-file", path])
+    if r.returncode != 2:
+        problems.append(
+            f"deep-nesting control: exit {r.returncode}, expected 2 "
+            f"(a negative exit is a signal, e.g. -6 = SIGABRT):\n{r.stderr[-400:]}"
+        )
 
 
 def main() -> int:
